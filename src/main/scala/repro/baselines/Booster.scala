@@ -63,6 +63,6 @@ object Booster {
     val winner = cands(scores.indices.maxBy(i => (scores(i), -i)))
     val roots  = winner.values.toVector.distinct.sorted.zipWithIndex.toMap
     BlockResult(blockId, winner.map { case (id, r) => id -> roots(r) },
-                Pairwise.diff(before, llm.usage), Vector.empty)
+                llm.usage - before, Vector.empty)
   }
 }

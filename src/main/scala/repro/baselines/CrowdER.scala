@@ -73,6 +73,6 @@ object CrowdER {
       }
     }
     BlockResult(blockId, Pairwise.assignmentOf(uf, block),
-                Pairwise.diff(before, llm.usage), Vector.empty)
+                llm.usage - before, Vector.empty)
   }
 }

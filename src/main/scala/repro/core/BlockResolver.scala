@@ -69,7 +69,7 @@ object BlockResolver {
     var idCounter = 0L
     def nextId(): Long = { idCounter += 1; idCounter }
 
-    val sep          = new CMR.Separations
+    val uf           = new UnionFind(Nil) // over cluster ids: merges and separations
     val setsPerLevel = Vector.newBuilder[Int]
 
     // ---- Level 0: NRS record sets over the raw records ----
@@ -78,17 +78,14 @@ object BlockResolver {
     var clusters: Vector[CMR.HCluster] = level0Sets.flatMap { set =>
       val g = clusterWithGuardrail(set, llm, p, fewShot)
       level0Calls += g.calls
-      val hcs = g.result.clusters.map { members =>
-        val id = nextId()
-        CMR.HCluster(id, members, Set(id))
-      }
+      val hcs = g.result.clusters.map(CMR.HCluster(nextId(), _))
       // Anti-transitivity between the distinct clusters of one answer —
       // except suspect singletons, whose placement was discarded.
       def suspect(c: CMR.HCluster) = c.members.size == 1 && g.suspects(c.members.head.id)
       for {
         i <- hcs.indices; j <- hcs.indices if i < j
         if !suspect(hcs(i)) && !suspect(hcs(j))
-      } sep.add(hcs(i), hcs(j))
+      } uf.separate(hcs(i).id, hcs(j).id)
       hcs
     }
     setsPerLevel += level0Calls
@@ -99,7 +96,7 @@ object BlockResolver {
     val maxLevels = 5 // paper's deepest hierarchy (Table 3: Alaska, level 5)
     while (progress && level < maxLevels && clusters.size > 1) {
       level += 1
-      val (sets, leftovers) = CMR.nextRoundSets(clusters, sep, p)
+      val (sets, leftovers) = CMR.nextRoundSets(clusters, uf, p)
       if (sets.isEmpty) { progress = false }
       else {
         var calls   = 0
@@ -109,7 +106,7 @@ object BlockResolver {
           val reps = inputSet.map(_.rep)
           val g = clusterWithGuardrail(reps, llm, p, fewShot)
           calls += g.calls
-          val out = CMR.applyAnswer(inputSet, g.result, sep, () => nextId(), g.suspects)
+          val out = CMR.applyAnswer(inputSet, g.result, uf, () => nextId(), g.suspects)
           if (out.size < inputSet.size) merges += inputSet.size - out.size
           merged ++= out
         }
@@ -126,12 +123,6 @@ object BlockResolver {
     require(assignment.size == block.size,
       s"block $blockId: ${assignment.size} assignments for ${block.size} records")
 
-    val after = llm.usage
-    BlockResult(blockId, assignment,
-      Usage(after.apiCalls - before.apiCalls,
-            after.inputTokens - before.inputTokens,
-            after.outputTokens - before.outputTokens,
-            after.latencyMs - before.latencyMs),
-      setsPerLevel.result())
+    BlockResult(blockId, assignment, llm.usage - before, setsPerLevel.result())
   }
 }

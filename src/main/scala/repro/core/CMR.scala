@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.embed.Embed
+
 /** Algorithm 3 — hierarchical Cluster Merge.
   *
   * Between hierarchy levels, each LLM-output cluster is replaced by a
@@ -8,37 +10,24 @@ package repro.core
   * sets by similarity chaining: up to `Sd` chains of up to `ceil(Ss/Sd)`
   * mutually compatible clusters, never packing two clusters already
   * known to be different entities (anti-transitivity — clusters that
-  * were co-input to the LLM before and left unmerged).
+  * were co-input to the LLM before and left unmerged). The block's
+  * [[UnionFind]] over cluster ids holds that knowledge: a merged
+  * cluster's new id is unioned with its children's, so it inherits every
+  * separation recorded against any of its ancestors.
   */
 object CMR {
 
-  /** A cluster in the merge hierarchy.
-    *
-    * @param id      stable id within the block's resolution
-    * @param lineage ids of all ancestor clusters (for separation checks)
+  /** A cluster in the merge hierarchy; `id` is stable within the
+    * block's resolution and is a node of the block's [[UnionFind]].
     */
-  final case class HCluster(id: Long, members: Vector[Record], lineage: Set[Long]) {
+  final case class HCluster(id: Long, members: Vector[Record]) {
     /** Representative record: member closest to the mean embedding. */
     lazy val rep: Record =
       if (members.size == 1) members.head
       else {
-        val dim = members.head.vec.length
-        val cen = new Array[Float](dim)
-        members.foreach { r => var d = 0; while (d < dim) { cen(d) += r.vec(d); d += 1 } }
-        val norm = math.sqrt(cen.map(x => x.toDouble * x).sum)
-        if (norm > 0) { var d = 0; while (d < dim) { cen(d) = (cen(d) / norm).toFloat; d += 1 } }
-        members.maxBy(r => repro.embed.Embed.cosine(r.vec, cen))
+        val cen = Embed.normalisedSum(members.map(_.vec))
+        members.maxBy(r => Embed.cosine(r.vec, cen))
       }
-  }
-
-  /** Tracks which cluster lineages are known to be different entities. */
-  final class Separations {
-    private val pairs = scala.collection.mutable.Set.empty[(Long, Long)]
-    private def key(a: Long, b: Long): (Long, Long) = if (a < b) (a, b) else (b, a)
-    def add(a: HCluster, b: HCluster): Unit = pairs += key(a.id, b.id)
-    def separated(a: HCluster, b: HCluster): Boolean =
-      a.lineage.exists(x => b.lineage.exists(y => pairs.contains(key(x, y))))
-    def size: Int = pairs.size
   }
 
   private def sim(a: HCluster, b: HCluster): Double = a.rep.cos(b.rep)
@@ -49,7 +38,7 @@ object CMR {
     */
   def nextRoundSets(
       clusters: Vector[HCluster],
-      sep: Separations,
+      uf: UnionFind,
       p: ERParams,
   ): (Vector[Vector[HCluster]], Vector[HCluster]) = {
     val chainLen = math.max(1, math.ceil(p.setSize.toDouble / p.setDiversity).toInt)
@@ -63,7 +52,7 @@ object CMR {
       var exhausted = false
       while (j < p.setDiversity && set.size < p.setSize && !exhausted) {
         // Seed of chain j: first unselected cluster compatible with the set so far.
-        unsel.find(c => set.forall(s => !sep.separated(s, c))) match {
+        unsel.find(c => set.forall(s => !uf.separated(s.id, c.id))) match {
           case None => exhausted = true
           case Some(seed) =>
             unsel -= seed
@@ -72,7 +61,7 @@ object CMR {
             var grown = 1
             var stop  = false
             while (grown < chainLen && set.size < p.setSize && !stop) {
-              val candidates = unsel.filter(c => set.forall(s => !sep.separated(s, c)))
+              val candidates = unsel.filter(c => set.forall(s => !uf.separated(s.id, c.id)))
               if (candidates.isEmpty) stop = true
               else {
                 val nxt = candidates.maxBy(c => (sim(cur, c), -c.id))
@@ -98,7 +87,7 @@ object CMR {
   def applyAnswer(
       inputSet: Vector[HCluster],
       repClusters: Clustering,
-      sep: Separations,
+      uf: UnionFind,
       nextId: () => Long,
       suspects: Set[Long] = Set.empty,
   ): Vector[HCluster] = {
@@ -115,12 +104,13 @@ object CMR {
       i <- groups.indices; j <- groups.indices if i < j
       if !isSuspect(groups(i)) && !isSuspect(groups(j))
       a <- groups(i); b <- groups(j)
-    } sep.add(a, b)
+    } uf.separate(a.id, b.id)
     groups.map { g =>
       if (g.size == 1) g.head
       else {
         val id = nextId()
-        HCluster(id, g.flatMap(_.members), g.flatMap(_.lineage).toSet + id)
+        g.foreach(c => uf.union(id, c.id))
+        HCluster(id, g.flatMap(_.members))
       }
     }
   }

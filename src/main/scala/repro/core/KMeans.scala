@@ -1,9 +1,11 @@
 package repro.core
 
+import repro.embed.Embed
+
 /** Small local k-means + elbow, used by NRS (Algorithm 1) for its
   * preliminary diversity assessment of a block's remaining records.
   * Blocks are small (tens of records), so a driver-side implementation
-  * inside the per-block `flatMapGroups` task is the right altitude.
+  * inside the per-block `mapGroups` task is the right altitude.
   */
 object KMeans {
 
@@ -12,12 +14,11 @@ object KMeans {
     require(k >= 1, s"k must be >= 1, got $k")
     if (recs.isEmpty) return Vector.empty
     val kk = math.min(k, recs.size)
-    val dim = recs.head.vec.length
     val rnd = new scala.util.Random(seed)
     // k-means++-lite seeding: first centroid random, rest farthest-point.
     var centroids = Vector(recs(rnd.nextInt(recs.size)).vec.clone())
     while (centroids.size < kk) {
-      val far = recs.maxBy(r => centroids.map(c => 1.0 - dot(r.vec, c)).min)
+      val far = recs.maxBy(r => centroids.map(c => 1.0 - Embed.cosine(r.vec, c)).min)
       centroids = centroids :+ far.vec.clone()
     }
     var assign = Array.fill(recs.size)(0)
@@ -27,20 +28,14 @@ object KMeans {
       changed = false
       var i = 0
       while (i < recs.size) {
-        val best = centroids.indices.maxBy(j => dot(recs(i).vec, centroids(j)))
+        val best = centroids.indices.maxBy(j => Embed.cosine(recs(i).vec, centroids(j)))
         if (best != assign(i)) { assign(i) = best; changed = true }
         i += 1
       }
       centroids = centroids.indices.map { j =>
         val members = recs.indices.filter(assign(_) == j)
         if (members.isEmpty) centroids(j)
-        else {
-          val c = new Array[Float](dim)
-          members.foreach { m => var d = 0; while (d < dim) { c(d) += recs(m).vec(d); d += 1 } }
-          val norm = math.sqrt(c.map(x => x.toDouble * x).sum)
-          if (norm > 0) { var d = 0; while (d < dim) { c(d) = (c(d) / norm).toFloat; d += 1 } }
-          c
-        }
+        else Embed.normalisedSum(members.map(recs(_).vec))
       }.toVector
       it += 1
     }
@@ -50,22 +45,12 @@ object KMeans {
       .sortBy(c => c.map(_.id).min)
   }
 
-  private def dot(a: Array[Float], b: Array[Float]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
-    s
-  }
-
   /** Within-cluster cohesion (mean cosine of members to their centroid). */
   private def cohesion(clusters: Vector[Vector[Record]]): Double = {
     if (clusters.isEmpty) return 0.0
     val per = clusters.map { c =>
-      val dim = c.head.vec.length
-      val cen = new Array[Float](dim)
-      c.foreach { r => var d = 0; while (d < dim) { cen(d) += r.vec(d); d += 1 } }
-      val norm = math.sqrt(cen.map(x => x.toDouble * x).sum)
-      if (norm > 0) { var d = 0; while (d < dim) { cen(d) = (cen(d) / norm).toFloat; d += 1 } }
-      c.map(r => dot(r.vec, cen)).sum / c.size
+      val cen = Embed.normalisedSum(c.map(_.vec))
+      c.map(r => Embed.cosine(r.vec, cen)).sum / c.size
     }
     per.sum / per.size
   }

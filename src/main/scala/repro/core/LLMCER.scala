@@ -38,10 +38,12 @@ object LLMCER {
       apiCalls: Long, inTok: Long, outTok: Long, latMs: Double, levels: Seq[Int])
 
   /** Tune the blocking threshold on a labeled sample (§5.1). */
-  def tunedThreshold(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
-    val sample = ds.sort("id").limit(600).collect().toVector
-    Blocking.tuneThreshold(sample, simOf(strategy))
-  }
+  def tunedThreshold(ds: Dataset[Record], strategy: Blocking.Strategy): Double =
+    Blocking.tuneThreshold(validationSample(ds), simOf(strategy))
+
+  /** The labeled validation sample both tunings read: the 600 lowest ids. */
+  private def validationSample(ds: Dataset[Record]): Vector[Record] =
+    ds.sort("id").limit(600).collect().toVector
 
   private def simOf(strategy: Blocking.Strategy): (Record, Record) => Double =
     strategy match {
@@ -55,8 +57,8 @@ object LLMCER {
     * most ~5% of genuinely-same-entity placements.
     */
   def tunedFloor(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
-    val sample = ds.sort("id").limit(600).collect().toVector
-    val sim = simOf(strategy)
+    val sample = validationSample(ds)
+    val sim    = simOf(strategy)
     val sameSims = (for {
       i <- sample.indices; j <- i + 1 until sample.size
       if sample(i).entityId == sample(j).entityId
@@ -100,20 +102,28 @@ object LLMCER {
     ERResult(partition, usage, levels, outcomes.size, bt)
   }
 
+  /** `params` with a zero coherence floor replaced by the validation-tuned
+    * one (see tunedFloor): MDG's similarity follows the block-creation
+    * method (§5.2). Both `run` and the experiment harness resolve LLM-CER's
+    * parameters here.
+    */
+  def withTunedFloor(ds: Dataset[Record], strategy: Blocking.Strategy,
+                     params: ERParams): ERParams =
+    if (params.coherenceFloor > 0) params
+    else params.copy(coherenceFloor = tunedFloor(ds, strategy))
+
+  /** LLM-CER's per-block function: NRS + MDG + CMR with a fresh client. */
+  def resolver(p: ERParams, cfg: LLMConfig, fewShot: Int): BlockFn =
+    (bid, recs) => BlockResolver.resolve(bid, recs, new SimulatedLLM(cfg), p, fewShot)
+
   /** The paper's method: LLM-CER with NRS + MDG + CMR per block. */
   def run(spark: SparkSession, ds: Dataset[Record],
           strategy: Blocking.Strategy = Blocking.LSH,
           params: ERParams = ERParams.default,
           cfg: LLMConfig = LLMConfig.default,
-          fewShot: Int = 0,
-          btOverride: Option[Double] = None): ERResult = {
-    val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
-    // MDG's similarity function follows the block-creation method (§5.2);
-    // its floor is validation-tuned (see tunedFloor).
-    val p  = if (params.coherenceFloor > 0) params
-             else params.copy(coherenceFloor = tunedFloor(ds, strategy))
-    val fn: BlockFn = (bid, recs) =>
-      BlockResolver.resolve(bid, recs, new SimulatedLLM(cfg), p, fewShot)
+          fewShot: Int = 0): ERResult = {
+    val bt = tunedThreshold(ds, strategy)
+    val fn = resolver(withTunedFloor(ds, strategy, params), cfg, fewShot)
     runWith(spark, ds, strategy, fn, Some(bt))
   }
 }

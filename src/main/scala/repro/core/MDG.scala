@@ -28,12 +28,6 @@ object MDG {
     (intra, inter)
   }
 
-  /** All records whose guardrail test fails: intra-cluster similarity
-    * below inter-cluster similarity, or below a coherence floor. The
-    * floor (derived from the blocking threshold) is what catches the
-    * degenerate "everything is one entity" answer, where no other
-    * cluster exists to give an inter-cluster signal.
-    */
   /** Margin on the relative test: borderline placements (intra within
     * the margin of inter) are trusted — on dirty data the two similarity
     * distributions overlap, and flagging every borderline case would
@@ -41,6 +35,13 @@ object MDG {
     */
   val RelativeMargin = 0.08
 
+  /** All records whose guardrail test fails: intra-cluster similarity
+    * below inter-cluster similarity, or below a coherence floor. The
+    * floor (the 5th percentile of same-entity similarities on the
+    * validation sample, `LLMCER.tunedFloor`) is what catches the
+    * degenerate "everything is one entity" answer, where no other
+    * cluster exists to give an inter-cluster signal.
+    */
   def misclustered(c: Clustering, floor: Double = 0.0): Vector[Record] =
     c.records.filter { r =>
       val (intra, inter) = similarities(c, r)

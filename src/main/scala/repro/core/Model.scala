@@ -42,8 +42,9 @@ final case class ERParams(
     useMDG: Boolean = true,
     maxRegens: Int = 2,        // record-set regeneration retries after MDG reject
     /** MDG coherence floor: a cluster member whose intra-similarity
-      * falls below this is flagged even with no rival cluster (set from
-      * the blocking threshold by the driver). */
+      * falls below this is flagged even with no rival cluster. 0 means
+      * "tune it": `LLMCER.run` sets it to the 5th percentile of same-entity
+      * similarities on the validation sample (`LLMCER.tunedFloor`). */
     coherenceFloor: Double = 0.0,
     seed: Long = 42L,
 )
@@ -62,6 +63,10 @@ final case class Usage(
   def +(o: Usage): Usage =
     Usage(apiCalls + o.apiCalls, inputTokens + o.inputTokens,
           outputTokens + o.outputTokens, latencyMs + o.latencyMs)
+  /** Usage accrued since `o`, an earlier reading of the same meter. */
+  def -(o: Usage): Usage =
+    Usage(apiCalls - o.apiCalls, inputTokens - o.inputTokens,
+          outputTokens - o.outputTokens, latencyMs - o.latencyMs)
   def tokens: Long = inputTokens + outputTokens
   /** gpt-4o-mini pricing: USD 0.15 / 1M input, 0.60 / 1M output tokens. */
   def costUsd: Double = inputTokens * 0.15e-6 + outputTokens * 0.60e-6

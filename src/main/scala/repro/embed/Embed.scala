@@ -30,11 +30,27 @@ object Embed {
       val sign = if (((h >>> 16) & 1) == 0) 1f else -1f
       v(idx) += sign
     }
+    normalise(v)
+  }
+
+  /** L2-normalised sum of equal-length vectors (a cluster's mean
+    * direction), accumulated in `Float` in the order given.
+    */
+  def normalisedSum(vs: Seq[Array[Float]]): Array[Float] = {
+    val dim = vs.head.length
+    val c   = new Array[Float](dim)
+    vs.foreach { v => var d = 0; while (d < dim) { c(d) += v(d); d += 1 } }
+    normalise(c)
+  }
+
+  /** Scale `v` in place to unit L2 norm (a zero vector stays zero). */
+  private def normalise(v: Array[Float]): Array[Float] = {
     val norm = math.sqrt(v.map(x => x.toDouble * x).sum)
-    if (norm > 0) { var i = 0; while (i < Dim) { v(i) = (v(i) / norm).toFloat; i += 1 } }
+    if (norm > 0) { var i = 0; while (i < v.length) { v(i) = (v(i) / norm).toFloat; i += 1 } }
     v
   }
 
+  /** Dot product; the cosine for L2-normalised vectors. */
   def cosine(a: Array[Float], b: Array[Float]): Double = {
     var s = 0.0; var i = 0
     while (i < a.length) { s += a(i) * b(i); i += 1 }

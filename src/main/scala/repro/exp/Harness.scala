@@ -48,11 +48,8 @@ object Harness {
     * same blocking and the same simulated LLM configuration.
     */
   def blockFn(method: Method, params: ERParams, cfg: LLMConfig, fewShot: Int,
-              bt: Double, floor: Double = 0.0): LLMCER.BlockFn = method match {
-    case MCer =>
-      val p = if (params.coherenceFloor > 0) params
-              else params.copy(coherenceFloor = if (floor > 0) floor else 0.8 * bt)
-      (bid, recs) => BlockResolver.resolve(bid, recs, new SimulatedLLM(cfg), p, fewShot)
+              bt: Double): LLMCER.BlockFn = method match {
+    case MCer => LLMCER.resolver(params, cfg, fewShot)
     case MPair =>
       (bid, recs) => Pairwise.resolveBlock(bid, recs, new SimulatedLLM(cfg))
     case MBooster =>
@@ -78,10 +75,11 @@ object Harness {
                    strategy: Blocking.Strategy, params: ERParams, cfg: LLMConfig,
                    fewShot: Int): ResultRow = {
     import spark.implicits._
-    val bt    = LLMCER.tunedThreshold(ds, strategy)
-    val floor = LLMCER.tunedFloor(ds, strategy)
+    val bt = LLMCER.tunedThreshold(ds, strategy)
+    // LLM-CER's parameters are resolved exactly as `LLMCER.run` resolves them.
+    val p  = if (method == MCer) LLMCER.withTunedFloor(ds, strategy, params) else params
     val res = LLMCER.runWith(spark, ds, strategy,
-                             blockFn(method, params, cfg, fewShot, bt, floor), Some(bt))
+                             blockFn(method, p, cfg, fewShot, bt), Some(bt))
     val truth = Metrics.truthOf(ds.map(r => (r.id, r.entityId)).collect())
     val (acc, fp, nmi, ari) = score(res.partition, truth)
     val annotation = if (method == MBq) BQ.AnnotationUsd else 0.0
