@@ -150,17 +150,14 @@ object Blocking {
     * candidate edges. Edges are processed in descending similarity and a
     * union is applied only while the merged block stays within `cap`, so
     * the strongest links bind first and chains are cut at the weakest
-    * links. Returns recordId -> blockId (unmatched records get their own
-    * singleton block).
+    * links. Returns recordId -> blockId for the ids that appear in
+    * `edges`, the block id being the smallest member id; a record in no
+    * edge is a singleton block whose id is its own.
     */
-  def components(allIds: Seq[Long], edges: Seq[(Long, Long)]): Map[Long, Long] =
-    componentsCapped(allIds, edges.map { case (a, b) => (a, b, 1.0) }, Int.MaxValue)
-
-  def componentsCapped(allIds: Seq[Long], edges: Seq[(Long, Long, Double)],
+  def componentsCapped(edges: Seq[(Long, Long, Double)],
                        cap: Int = MaxBlockSize): Map[Long, Long] = {
-    val uf   = new UnionFind(allIds)
-    val size = scala.collection.mutable.Map.empty[Long, Int]
-    allIds.foreach(id => size(id) = 1)
+    val uf   = new UnionFind(Nil)
+    val size = scala.collection.mutable.Map.empty[Long, Int].withDefaultValue(1)
     edges.sortBy { case (a, b, sim) => (-sim, a, b) }.foreach { case (a, b, _) =>
       val ra = uf.find(a); val rb = uf.find(b)
       if (ra != rb && size(ra) + size(rb) <= cap) {
@@ -169,34 +166,30 @@ object Blocking {
         size(r) = size(ra) + size(rb)
       }
     }
-    // Canonical block id: smallest record id of the component.
-    val rootMin = allIds.groupBy(uf.find).map { case (r, ids) => r -> ids.min }
-    allIds.map(id => id -> rootMin(uf.find(id))).toMap
+    val ids = edges.flatMap { case (a, b, _) => Seq(a, b) }.distinct
+    ids.groupBy(uf.find).values.flatMap(c => c.map(_ -> c.min)).toMap
   }
 
-  /** End-to-end blocking: Dataset[Record] -> DataFrame(id, block_id). */
+  /** End-to-end blocking: the record id -> block id function of
+    * `strategy` over `ds`. Only the threshold-surviving edges reach the
+    * driver; NoBlocking puts every record in block 0 and runs no query.
+    */
   def block(spark: SparkSession, ds: Dataset[Record], strategy: Strategy,
-            bt: Double): DataFrame = {
+            bt: Double): Long => Long = {
     import spark.implicits._
-    val ids = ds.map(_.id).collect().toSeq
-    val edges: Seq[(Long, Long, Double)] = strategy match {
-      case NoBlocking => Seq.empty // handled below: all in one block
-      case LSH =>
-        lshCandidates(spark, ds).where(col("sim") >= bt)
-          .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
-      case Filter =>
-        filterCandidates(spark, ds, bt).where(col("sim") >= bt)
-          .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
+    def capped(edges: DataFrame): Long => Long = {
+      val blockOf = componentsCapped(
+        edges.select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq)
+      id => blockOf.getOrElse(id, id)
+    }
+    strategy match {
+      case NoBlocking => _ => 0L
+      case LSH        => capped(lshCandidates(spark, ds).where(col("sim") >= bt))
+      case Filter     => capped(filterCandidates(spark, ds, bt).where(col("sim") >= bt))
       case Canopy =>
-        canopyCandidates(spark, ds, bs = math.min(0.95, bt + 0.15), ms = math.max(0.05, bt - 0.15))
-          .where(col("cheap") >= math.min(0.95, bt + 0.15) || col("sim") >= bt)
-          .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
+        capped(canopyCandidates(spark, ds, bs = math.min(0.95, bt + 0.15), ms = math.max(0.05, bt - 0.15))
+          .where(col("cheap") >= math.min(0.95, bt + 0.15) || col("sim") >= bt))
     }
-    val assignment = strategy match {
-      case NoBlocking => ids.map(_ -> 0L).toMap
-      case _          => componentsCapped(ids, edges)
-    }
-    spark.createDataset(assignment.toSeq).toDF("id", "block_id")
   }
 
   /** Tune the similarity threshold bt on a labeled validation sample

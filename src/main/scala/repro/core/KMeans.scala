@@ -55,19 +55,21 @@ object KMeans {
     per.sum / per.size
   }
 
-  /** Elbow method: smallest k whose cohesion gain over k-1 drops below
-    * a knee threshold; caps at maxK. Used as the "diversity" estimate.
+  /** Elbow method: the clustering at the largest k <= maxK whose
+    * cohesion gain over k-1 clears a knee threshold, or the whole set as
+    * one cluster when no k > 1 does. Used as the "diversity" estimate.
     */
-  def elbowK(recs: Vector[Record], maxK: Int, seed: Long): Int = {
-    if (recs.size <= 1) return math.max(1, recs.size)
+  def elbow(recs: Vector[Record], maxK: Int, seed: Long): Vector[Vector[Record]] = {
+    var best = Vector(recs).filter(_.nonEmpty)
+    if (recs.size <= 1) return best
     val cap = math.min(maxK, recs.size)
-    var prev = cohesion(Vector(recs))
+    var prev = cohesion(best)
     var k = 1
-    var best = 1
     while (k < cap) {
       k += 1
-      val coh = cohesion(cluster(recs, k, seed))
-      if (coh - prev > 0.02) best = k
+      val clusters = cluster(recs, k, seed)
+      val coh = cohesion(clusters)
+      if (coh - prev > 0.02) best = clusters
       prev = coh
     }
     best

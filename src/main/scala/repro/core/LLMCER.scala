@@ -17,11 +17,11 @@ final case class ERResult(
 /** The LLM-CER Spark driver (Algorithm 4 at dataset scale), plus the
   * generic per-block execution harness shared with every baseline.
   *
-  * Dataflow: blocking produces (id, block_id); records are co-grouped
-  * by block with `groupByKey(...).mapGroups`, each group resolved by a
-  * per-block function running in the executor task (the "LLM-based
-  * clustering UDF per partition"); assignments and telemetry shuffle
-  * back and are merged into the final partition.
+  * Dataflow: blocking produces a record id -> block id function; records
+  * are grouped by it with `groupByKey(...).mapGroups`, each group
+  * resolved by a per-block function running in the executor task (the
+  * "LLM-based clustering UDF per partition"); assignments and telemetry
+  * are collected and merged into the final partition on the driver.
   */
 object LLMCER {
 
@@ -72,17 +72,12 @@ object LLMCER {
               fn: BlockFn, btOverride: Option[Double] = None): ERResult = {
     import spark.implicits._
     val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
-    val blocks = Blocking.block(spark, ds, strategy, bt)
-      .toDF("rid", "block_id").as[(Long, Long)]
+    val blockOf = Blocking.block(spark, ds, strategy, bt)
 
-    val withBlock: Dataset[(Record, Long)] =
-      ds.joinWith(blocks, ds("id") === blocks("rid"))
-        .map { case (r, (_, bid)) => (r, bid) }
-
-    val outcomes = withBlock
-      .groupByKey(_._2)
+    val outcomes = ds
+      .groupByKey(r => blockOf(r.id))
       .mapGroups { (bid, iter) =>
-        val recs = iter.map(_._1).toVector.sortBy(_.id)
+        val recs = iter.toVector.sortBy(_.id)
         val res  = fn(bid, recs)
         val (ids, cls) = res.assignment.toSeq.sortBy(_._1).unzip
         Outcome(bid, ids, cls, res.usage.apiCalls, res.usage.inputTokens,

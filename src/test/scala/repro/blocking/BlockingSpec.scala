@@ -1,12 +1,13 @@
 package repro.blocking
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
-import repro.core.Record
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSupport, SparkSpec}
+import repro.core.{Record, UnionFind}
 import repro.data.{DatasetProfile, ERGen}
 import repro.embed.Embed
 
-class BlockingSpec extends SparkSpec {
+class BlockingSpec extends SparkSpec with PropSupport {
 
   private lazy val mini = DatasetProfile.mini(DatasetProfile.citeseer, 250)
   private lazy val ds   = {
@@ -78,29 +79,89 @@ class BlockingSpec extends SparkSpec {
     assert(c.count() > 0)
   }
 
+  /** The reference blocking every id is seeded into: union-find over
+    * `allIds`, capped unions in descending similarity, smallest member
+    * id as block id.
+    */
+  private def referenceComponents(allIds: Seq[Long], edges: Seq[(Long, Long, Double)],
+                                  cap: Int): Map[Long, Long] = {
+    val uf   = new UnionFind(allIds)
+    val size = scala.collection.mutable.Map.empty[Long, Int]
+    allIds.foreach(id => size(id) = 1)
+    edges.sortBy { case (a, b, sim) => (-sim, a, b) }.foreach { case (a, b, _) =>
+      val ra = uf.find(a); val rb = uf.find(b)
+      if (ra != rb && size(ra) + size(rb) <= cap) {
+        uf.union(a, b)
+        val r = uf.find(a)
+        size(r) = size(ra) + size(rb)
+      }
+    }
+    // Canonical block id: smallest record id of the component.
+    val rootMin = allIds.groupBy(uf.find).map { case (r, ids) => r -> ids.min }
+    allIds.map(id => id -> rootMin(uf.find(id))).toMap
+  }
+
+  private def uncapped(edges: Seq[(Long, Long)]): Map[Long, Long] =
+    Blocking.componentsCapped(edges.map { case (a, b) => (a, b, 1.0) }, Int.MaxValue)
+
   test("components forms connected components with singleton fallback") {
-    val comp = Blocking.components(Seq(1L, 2L, 3L, 4L, 5L), Seq((1L, 2L), (2L, 3L)))
+    val m = uncapped(Seq((1L, 2L), (2L, 3L)))
+    def comp(id: Long) = m.getOrElse(id, id)
     assert(comp(1L) == comp(2L) && comp(2L) == comp(3L))
     assert(comp(4L) != comp(1L) && comp(4L) != comp(5L))
   }
   test("components uses the smallest member id as block id") {
-    val comp = Blocking.components(Seq(7L, 3L, 9L), Seq((7L, 9L)))
+    val m = uncapped(Seq((7L, 9L)))
+    def comp(id: Long) = m.getOrElse(id, id)
     assert(comp(7L) == 7L && comp(9L) == 7L && comp(3L) == 3L)
   }
 
+  test("componentsCapped over edge ids, own id otherwise, equals the all-ids reference") {
+    // Few distinct similarities so ties are common; ids beyond the edge
+    // range stay isolated.
+    val edgeGen = for {
+      a   <- Gen.choose(0L, 30L)
+      b   <- Gen.choose(0L, 30L)
+      sim <- Gen.oneOf(0.5, 0.7, 0.9)
+    } yield (a, b, sim)
+    val caseGen = for {
+      edges    <- Gen.listOf(edgeGen)
+      cap      <- Gen.choose(1, 12)
+      isolated <- Gen.listOf(Gen.choose(31L, 40L))
+    } yield (edges, cap, isolated)
+    checkProp(Prop.forAll(caseGen) { case (edges, cap, isolated) =>
+      val allIds = (edges.flatMap { case (a, b, _) => Seq(a, b) } ++ isolated).distinct
+      val m      = Blocking.componentsCapped(edges, cap)
+      referenceComponents(allIds, edges, cap) == allIds.map(id => id -> m.getOrElse(id, id)).toMap
+    }, minTests = 300)
+  }
+
+  private lazy val blockFns = Seq(Blocking.LSH, Blocking.Filter, Blocking.Canopy, Blocking.NoBlocking)
+    .map(strategy => strategy -> Blocking.block(spark, ds, strategy, bt = 0.5))
+
   test("block covers every record exactly once for each strategy") {
-    for (strategy <- Seq(Blocking.LSH, Blocking.NoBlocking)) {
-      val blocks = Blocking.block(spark, ds, strategy, bt = 0.5).collect()
-      assert(blocks.length == mini.numRecords, strategy.name)
-      assert(blocks.map(_.getLong(0)).distinct.length == mini.numRecords, strategy.name)
+    import spark.implicits._
+    for ((strategy, blockOf) <- blockFns) {
+      // Applied inside Spark tasks, as the block grouping applies it.
+      val assigned = ds.map(r => (r.id, blockOf(r.id))).collect()
+      assert(assigned.length == mini.numRecords, strategy.name)
+      assert(assigned.map(_._1).distinct.length == mini.numRecords, strategy.name)
+    }
+  }
+  test("block ids are smallest member ids and blocks stay within MaxBlockSize") {
+    for ((strategy, blockOf) <- blockFns if strategy != Blocking.NoBlocking) {
+      local.map(_.id).groupBy(blockOf).foreach { case (bid, members) =>
+        assert(bid == members.min, s"${strategy.name}: block $bid is not its smallest member id")
+        assert(members.size <= Blocking.MaxBlockSize, s"${strategy.name}: block $bid too large")
+      }
     }
   }
   test("NoBlocking puts everything in one block") {
-    val blocks = Blocking.block(spark, ds, Blocking.NoBlocking, 0.5)
-    assert(blocks.select("block_id").distinct().count() == 1)
+    val blockOf = Blocking.block(spark, ds, Blocking.NoBlocking, 0.5)
+    assert(local.map(r => blockOf(r.id)).distinct == Vector(0L))
   }
 
-  test("tuneThreshold returns a threshold in (0,1) maximising pair F2") {
+  test("tuneThreshold returns a threshold in (0,1) maximising pair F1") {
     val t = Blocking.tuneThreshold(local.take(120), (a, b) => a.cos(b))
     assert(t >= 0.05 && t <= 0.95)
   }
