@@ -7,12 +7,13 @@ import repro.embed.Embed
 
 /** Filtering / blocking strategies of §5.1, as Spark dataflow.
   *
-  * Each strategy produces candidate record pairs with a Spark
-  * self-join (the data-heavy part), prunes them with a similarity
-  * threshold, and forms blocks as connected components of the surviving
-  * edges (transitive block merging). Components are computed with a
-  * driver-side union-find over the collected edge list — edge lists are
-  * tiny relative to the pair space after pruning.
+  * Each strategy yields the record pairs whose similarity reaches a
+  * threshold. LSH scores pairs inside their shared bucket and keeps only
+  * those at or above it; Filter and Canopy self-join token rows, join the
+  * pairs back to their texts for scoring, and prune afterwards. Blocks
+  * are the connected components of these edges (transitive block
+  * merging), computed with a driver-side union-find over the collected
+  * edge list, which is tiny relative to the pair space.
   */
 object Blocking {
 
@@ -22,57 +23,58 @@ object Blocking {
   case object Canopy    extends Strategy { val name = "Canopy" }
   case object NoBlocking extends Strategy { val name = "NoBlocking" }
 
-  /** Candidate pairs (id_a < id_b) with cosine similarity, via
-    * random-hyperplane LSH banding over the record embeddings.
-    */
-  def lshCandidates(spark: SparkSession, ds: Dataset[Record],
-                    bands: Int = 8, bits: Int = 8, seed: Long = 7L): DataFrame = {
-    import spark.implicits._
-    val dim = Embed.Dim
-    // Deterministic hyperplanes: bands*bits vectors of N(0,1)-ish values.
-    val planes: Array[Array[Float]] = {
-      val rnd = new scala.util.Random(seed)
-      Array.fill(bands * bits)(Array.fill(dim)((rnd.nextGaussian()).toFloat))
-    }
-    val bc = spark.sparkContext.broadcast(planes)
-    val sigs = ds.flatMap { r =>
-      val ps = bc.value
-      (0 until bands).map { b =>
-        var sig = 0L
-        var k = 0
-        while (k < bits) {
-          var s = 0.0; var d = 0
-          val p = ps(b * bits + k)
-          while (d < dim) { s += p(d) * r.vec(d); d += 1 }
-          if (s >= 0) sig |= (1L << k)
-          k += 1
-        }
-        (b, sig, r.id)
-      }
-    }.toDF("band", "sig", "id")
-    val a = sigs.as("a"); val b = sigs.as("b")
-    val pairs = a.join(b,
-        col("a.band") === col("b.band") && col("a.sig") === col("b.sig") &&
-        col("a.id") < col("b.id"))
-      .select(col("a.id").as("id_a"), col("b.id").as("id_b"))
-      .distinct()
-    withCosine(spark, ds, pairs)
+  /** `bands * bits` deterministic Gaussian hyperplanes over the embeddings. */
+  private[blocking] def hyperplanes(bands: Int, bits: Int, seed: Long): Array[Array[Float]] = {
+    val rnd = new scala.util.Random(seed)
+    Array.fill(bands * bits)(Array.fill(Embed.Dim)(rnd.nextGaussian().toFloat))
   }
 
-  /** Join candidate pairs back to embeddings and score with cosine. */
-  private def withCosine(spark: SparkSession, ds: Dataset[Record], pairs: DataFrame): DataFrame = {
-    import spark.implicits._
-    val vecs = ds.map(r => (r.id, r.vec)).toDF("vid", "vec")
-    val cosUdf = udf { (a: Seq[Float], b: Seq[Float]) =>
-      var s = 0.0; var i = 0
-      while (i < a.length) { s += a(i) * b(i); i += 1 }
-      s
+  /** The bucket signature of `vec` in each band of `bits` consecutive
+    * planes: bit k is set when `vec` is on the non-negative side of the
+    * band's k-th plane.
+    */
+  private[blocking] def signatures(planes: Array[Array[Float]], bits: Int, vec: Array[Float]): Array[Long] =
+    Array.tabulate(planes.length / bits) { b =>
+      var sig = 0L; var k = 0
+      while (k < bits) {
+        var s = 0.0; var d = 0
+        val p = planes(b * bits + k)
+        while (d < vec.length) { s += p(d) * vec(d); d += 1 }
+        if (s >= 0) sig |= (1L << k)
+        k += 1
+      }
+      sig
     }
-    pairs
-      .join(vecs, col("id_a") === col("vid")).withColumnRenamed("vec", "vec_a").drop("vid")
-      .join(vecs, col("id_b") === col("vid")).withColumnRenamed("vec", "vec_b").drop("vid")
-      .withColumn("sim", cosUdf(col("vec_a"), col("vec_b")))
-      .select("id_a", "id_b", "sim")
+
+  /** Random-hyperplane LSH banding over the record embeddings: every pair
+    * (id_a < id_b) that shares a bucket in some band and whose cosine
+    * (`Record.cos`) is at least `minSim`, once, as (id_a, id_b, sim).
+    * Pairs are scored inside their bucket, in the first band the two
+    * records share, so neither the pairs below `minSim` nor a band's
+    * repeat of a pair leave the bucket task.
+    */
+  def lshCandidates(spark: SparkSession, ds: Dataset[Record], bands: Int = 8, bits: Int = 8,
+                    seed: Long = 7L, minSim: Double = Double.NegativeInfinity): DataFrame = {
+    import spark.implicits._
+    val planes = hyperplanes(bands, bits, seed)
+    ds.flatMap { r =>
+        val sigs = signatures(planes, bits, r.vec)
+        sigs.indices.map(b => (b, sigs, r.id, r.vec))
+      }
+      .groupByKey { case (b, sigs, _, _) => (b, sigs(b)) }
+      .flatMapGroups { (key, rows) =>
+        val band   = key._1
+        val bucket = rows.toArray.sortBy(_._3)
+        for {
+          i               <- bucket.indices.iterator
+          (_, sa, a, va)   = bucket(i)
+          (_, sb, b, vb)  <- bucket.iterator.drop(i + 1)
+          if (0 until band).forall(e => sa(e) != sb(e))
+          sim              = Embed.cosine(va, vb)
+          if sim >= minSim
+        } yield (a, b, sim)
+      }
+      .toDF("id_a", "id_b", "sim")
   }
 
   /** Candidate pairs via prefix-filtered token similarity join (the
@@ -184,7 +186,7 @@ object Blocking {
     }
     strategy match {
       case NoBlocking => _ => 0L
-      case LSH        => capped(lshCandidates(spark, ds).where(col("sim") >= bt))
+      case LSH        => capped(lshCandidates(spark, ds, minSim = bt))
       case Filter     => capped(filterCandidates(spark, ds, bt).where(col("sim") >= bt))
       case Canopy =>
         capped(canopyCandidates(spark, ds, bs = math.min(0.95, bt + 0.15), ms = math.max(0.05, bt - 0.15))

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.embed.Embed
+
 /** Core data model shared by the whole reproduction.
   *
   * A [[Record]] carries its hidden ground-truth entity id (`entityId`).
@@ -14,12 +16,7 @@ final case class Record(
     vec: Array[Float],
 ) {
   /** Cosine similarity against another record (vectors are L2-normalised). */
-  def cos(o: Record): Double = {
-    var s = 0.0; var i = 0
-    val a = vec; val b = o.vec
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
-    s
-  }
+  def cos(o: Record): Double = Embed.cosine(vec, o.vec)
   override def equals(o: Any): Boolean = o match {
     case r: Record => r.id == id
     case _         => false

@@ -38,21 +38,72 @@ class BlockingSpec extends SparkSpec with PropSupport {
   }
 
   test("LSH candidate sims equal the direct cosine (DuckDB-checked count)") {
-    val cands = Blocking.lshCandidates(spark, ds)
-    val byId  = local.map(r => r.id -> r).toMap
-    cands.limit(50).collect().foreach { row =>
-      val expect = byId(row.getLong(0)).cos(byId(row.getLong(1)))
-      assert(math.abs(row.getDouble(2) - expect) < 1e-6)
-    }
-    // Oracle-check the aggregation path: candidate count per left record.
     import spark.implicits._
+    val (bands, bits, seed) = (8, 8, 7L)
+    val cands = Blocking.lshCandidates(spark, ds, bands, bits, seed).cache()
+    val recs  = ds.collect()
+    val byId  = recs.map(r => r.id -> r).toMap
+    cands.collect().foreach { row =>
+      val (a, b) = (row.getLong(0), row.getLong(1))
+      assert(row.getDouble(2) == byId(a).cos(byId(b)), s"sim of ($a, $b)")
+    }
+    // DuckDB forms the pairs itself, self-joining the scalar signature
+    // table, and counts each record's distinct candidates; Spark's rows
+    // must hold each pair once to match.
+    val planes = Blocking.hyperplanes(bands, bits, seed)
+    val sigs = recs.toSeq.flatMap { r =>
+      Blocking.signatures(planes, bits, r.vec).zipWithIndex.map { case (sig, band) => (band, sig, r.id) }
+    }.toDF("band", "sig", "id")
     val agg = cands.groupBy($"id_a").agg(count(lit(1)).as("n_cand"))
       .select($"id_a".cast("string").as("id_a"), $"n_cand")
     repro.Oracle.assertEquivalent(
       agg,
-      "SELECT id_a, COUNT(*) AS n_cand FROM cand GROUP BY id_a",
-      "cand" -> cands.select($"id_a".cast("string").as("id_a"),
-                             $"id_b".cast("string").as("id_b")))
+      """SELECT a.id AS id_a, COUNT(DISTINCT b.id) AS n_cand
+        |FROM sig a JOIN sig b
+        |  ON a.band = b.band AND a.sig = b.sig AND CAST(a.id AS BIGINT) < CAST(b.id AS BIGINT)
+        |GROUP BY a.id""".stripMargin,
+      "sig" -> sigs)
+    cands.unpersist()
+  }
+
+  test("LSH candidates are the bucket-sharing pairs at or above minSim, once each, bit-exact") {
+    import spark.implicits._
+    val vocab = Vector("canon", "eos", "5d", "nikon", "d800", "body", "kit", "lens")
+    val textGen = Gen.frequency(
+      1 -> Gen.oneOf("", "--", " | "), // no tokens
+      6 -> Gen.choose(1, 4).flatMap(Gen.listOfN(_, Gen.oneOf(vocab))).map(_.mkString(" ")))
+    // A small vocabulary repeats texts (duplicate vectors); some records
+    // get the zero vector.
+    val vecGen = Gen.frequency(1 -> Gen.const(None), 8 -> textGen.map(Some(_)))
+    val caseGen = for {
+      n      <- Gen.choose(0, 24)
+      ids    <- Gen.pick(n, 0L to 200L)
+      texts  <- Gen.listOfN(n, vecGen)
+      bands  <- Gen.choose(1, 4)
+      bits   <- Gen.choose(1, 4)
+      seed   <- Gen.choose(0L, 1000L)
+      recs    = ids.toVector.zip(texts).map { case (id, t) =>
+                  Record(id, 0L, t.getOrElse(""), t.fold(new Array[Float](Embed.Dim))(Embed.embed)) }
+      sims    = for (x <- recs; y <- recs if x.id < y.id) yield x.cos(y)
+      minSim <- Gen.frequency(
+                  1 -> Gen.const(Double.NegativeInfinity),
+                  1 -> Gen.choose(-1.0, 1.0),
+                  2 -> (if (sims.isEmpty) Gen.const(0.0) else Gen.oneOf(sims)))
+    } yield (recs, bands, bits, seed, minSim)
+    def exact(rows: Seq[(Long, Long, Double)]) =
+      rows.map { case (a, b, sim) => (a, b, java.lang.Double.doubleToRawLongBits(sim)) }.sorted
+    checkProp(Prop.forAll(caseGen) { case (recs, bands, bits, seed, minSim) =>
+      val planes = Blocking.hyperplanes(bands, bits, seed)
+      val sigOf  = recs.map(r => r.id -> Blocking.signatures(planes, bits, r.vec)).toMap
+      val reference = for {
+        x <- recs; y <- recs if x.id < y.id
+        if sigOf(x.id).indices.exists(b => sigOf(x.id)(b) == sigOf(y.id)(b))
+        if x.cos(y) >= minSim
+      } yield (x.id, y.id, x.cos(y))
+      val got = Blocking.lshCandidates(spark, spark.createDataset(recs), bands, bits, seed, minSim)
+        .as[(Long, Long, Double)].collect().toSeq
+      exact(got) == exact(reference)
+    }, minTests = 60)
   }
 
   test("filter candidates find every Jaccard>=bt pair (prefix completeness)") {
